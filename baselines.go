@@ -7,7 +7,6 @@ import (
 
 	"mobipriv/internal/baseline/geoind"
 	"mobipriv/internal/baseline/w4m"
-	"mobipriv/internal/core"
 )
 
 // The standard lineup compared throughout the evaluation, registered
@@ -33,24 +32,7 @@ func init() {
 		}
 		return promesse(eps, trim, window), nil
 	})
-	Register("pipeline", func(p *Params) (Mechanism, error) {
-		o := DefaultOptions()
-		o.Epsilon = p.Float("epsilon", o.Epsilon)
-		o.ZoneRadius = p.Float("zone-radius", o.ZoneRadius)
-		o.ZoneWindow = p.Duration("zone-window", o.ZoneWindow)
-		o.ZoneCooldown = p.Duration("zone-cooldown", o.ZoneCooldown)
-		o.Trim = p.Float("trim", o.Trim)
-		o.Seed = p.Int64("seed", o.Seed)
-		o.DisableSwapping = p.Bool("no-swap", false)
-		o.DisableSuppression = p.Bool("no-suppress", false)
-		o.DisableSmoothing = p.Bool("no-smooth", false)
-		o.DisableZones = p.Bool("no-zones", false)
-		o.PseudonymPrefix = p.String("prefix", o.PseudonymPrefix)
-		if err := o.validate(); err != nil {
-			return nil, err
-		}
-		return Pipeline(o.stages()...), nil
-	})
+	Register("pipeline", pipelineFromParams)
 	Register("geoi", func(p *Params) (Mechanism, error) {
 		eps := p.Float("epsilon", 0.01)
 		seed := p.Int64("seed", 1)
@@ -65,25 +47,55 @@ func init() {
 		cfg.Delta = p.Float("delta", cfg.Delta)
 		cfg.Grid = p.Duration("grid", cfg.Grid)
 		cfg.MaxRadius = p.Float("max-radius", cfg.MaxRadius)
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
 		return w4mMechanism{cfg: cfg}, nil
 	})
 }
 
-// Raw returns the identity mechanism: the dataset is published as-is
-// (the strawman every evaluation compares against). The input dataset
-// is returned without copying. It is streaming-capable (AsStreaming):
-// the online adapter republishes every update immediately. It is also
-// per-trace-capable (AsPerTrace) for store-native runs.
-func Raw() Mechanism {
-	m := NewMechanism("raw", func(ctx context.Context, d *Dataset) (*Result, error) {
-		if err := ctx.Err(); err != nil {
+// pipelineFromParams builds the paper's pipeline from its spec: the
+// Default* stages with the spec's overrides, minus the stages the
+// no-zones / no-smooth ablations remove. The parameters are read in
+// their documented positional order.
+func pipelineFromParams(p *Params) (Mechanism, error) {
+	zones, smooth, pseudo := DefaultMixZoneSwap(), DefaultSpeedSmooth(), DefaultPseudonymize()
+	smooth.Epsilon = p.Float("epsilon", smooth.Epsilon)
+	zones.Radius = p.Float("zone-radius", zones.Radius)
+	zones.Window = p.Duration("zone-window", zones.Window)
+	zones.Cooldown = p.Duration("zone-cooldown", zones.Cooldown)
+	smooth.Trim = p.Float("trim", smooth.Trim)
+	zones.Seed = p.Int64("seed", zones.Seed)
+	pseudo.Seed = zones.Seed
+	zones.DisableSwap = p.Bool("no-swap", false)
+	zones.DisableSuppress = p.Bool("no-suppress", false)
+	noSmooth := p.Bool("no-smooth", false)
+	noZones := p.Bool("no-zones", false)
+	pseudo.Prefix = p.String("prefix", pseudo.Prefix)
+
+	var stages []Stage
+	if !noZones {
+		if err := zones.validate(); err != nil {
 			return nil, err
 		}
-		res := &Result{Dataset: d}
-		res.AddReport(StageReport{Stage: "raw"})
-		return res, nil
-	})
-	return WithPerTrace(WithStreaming(m, streamRaw()), perTraceRaw())
+		stages = append(stages, zones)
+	}
+	if !noSmooth {
+		if smooth.Epsilon <= 0 {
+			return nil, errors.New("epsilon must be positive")
+		}
+		stages = append(stages, smooth)
+	}
+	return Pipeline(append(stages, pseudo)...), nil
+}
+
+// Raw returns the identity mechanism: the dataset is published as-is
+// (the strawman every evaluation compares against). It is
+// streaming-capable (AsStreaming): the online adapter republishes every
+// update immediately. It is also per-trace-capable (AsPerTrace) for
+// store-native runs.
+func Raw() Mechanism {
+	return WithStreaming(perTraceMechanism("raw", "raw", nil, keepTrace), streamRaw())
 }
 
 // Promesse returns the smoothing-only mechanism (the paper's PROMESSE
@@ -95,17 +107,9 @@ func Raw() Mechanism {
 func Promesse(epsilon float64) Mechanism { return promesse(epsilon, -1, 0) }
 
 func promesse(epsilon, trim, window float64) Mechanism {
-	name := fmt.Sprintf("promesse(epsilon=%g)", epsilon)
-	m := NewMechanism(name, func(ctx context.Context, d *Dataset) (*Result, error) {
-		out, rep, err := core.SmoothDatasetCtx(ctx, d, core.Config{Epsilon: epsilon, Trim: trim})
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Dataset: out}
-		res.AddReport(StageReport{Stage: "smooth", Dropped: rep.Dropped})
-		return res, nil
-	})
-	return WithPerTrace(WithStreaming(m, streamPromesse(epsilon, window)), perTracePromesse(epsilon, trim))
+	smooth := SpeedSmooth{Epsilon: epsilon, Trim: trim}
+	m := perTraceMechanism(fmt.Sprintf("promesse(epsilon=%g)", epsilon), smooth.StageName(), nil, smooth.PerTrace())
+	return WithStreaming(m, streamPromesse(epsilon, window))
 }
 
 // GeoI returns the geo-indistinguishability baseline (planar Laplace
@@ -116,22 +120,22 @@ func promesse(epsilon, trim, window float64) Mechanism {
 // with byte-identical output: the online adapter derives the same
 // per-user noise streams.
 func GeoI(epsilon float64, seed int64) Mechanism {
-	name := fmt.Sprintf("geoi(epsilon=%g)", epsilon)
-	m := NewMechanism(name, func(ctx context.Context, d *Dataset) (*Result, error) {
-		out, err := geoind.PerturbDatasetCtx(ctx, d, geoind.Config{Epsilon: epsilon, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Dataset: out}
-		res.AddReport(StageReport{Stage: "geoi"})
-		return res, nil
-	})
-	return WithPerTrace(WithStreaming(m, streamGeoI(epsilon, seed)), perTraceGeoI(epsilon, seed))
+	cfg := geoind.Config{Epsilon: epsilon, Seed: seed}
+	m := perTraceMechanism(fmt.Sprintf("geoi(epsilon=%g)", epsilon), "geoi", cfg.Validate,
+		func(_ context.Context, tr *Trace) (*Trace, error) {
+			g, err := geoind.NewForUser(cfg, tr.User)
+			if err != nil {
+				return nil, err
+			}
+			return g.Perturb(tr)
+		})
+	return WithStreaming(m, streamGeoI(epsilon, seed))
 }
 
 // W4M returns the Wait4Me (k,δ)-anonymity baseline (Abul, Bonchi &
 // Nanni 2010) with anonymity set size k and tube diameter delta in
-// meters.
+// meters. It stays batch-only: (k,δ)-aggregation needs every trace at
+// once.
 func W4M(k int, delta float64) Mechanism {
 	cfg := w4m.DefaultConfig()
 	cfg.K, cfg.Delta = k, delta
@@ -157,55 +161,4 @@ func (m w4mMechanism) Apply(ctx context.Context, d *Dataset) (*Result, error) {
 	res := &Result{Dataset: w4mRes.Dataset}
 	res.AddReport(StageReport{Stage: "w4m", Dropped: w4mRes.Suppressed})
 	return res, nil
-}
-
-// The built-in per-trace functions mirror exactly what the batch Apply
-// does to each individual trace, which is what makes store-native runs
-// (Runner.RunStore) Load-identical to the in-memory path. w4m stays
-// batch-only — (k,δ)-aggregation needs every trace at once — and so
-// does any pipeline containing the mix-zone stage; a zone-free,
-// prefix-free pipeline composes its stages' per-trace forms instead
-// (see pipelineMechanism.PerTrace).
-
-func perTraceRaw() PerTraceFunc {
-	return func(ctx context.Context, tr *Trace) (*Trace, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return tr, nil
-	}
-}
-
-func perTracePromesse(epsilon, trim float64) PerTraceFunc {
-	cfg := core.Config{Epsilon: epsilon, Trim: trim}
-	return func(ctx context.Context, tr *Trace) (*Trace, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out, err := core.Smooth(tr, cfg)
-		if err != nil {
-			// The same drops SmoothDatasetCtx reports as Dropped.
-			if errors.Is(err, core.ErrTraceTooShort) || errors.Is(err, core.ErrZeroDuration) {
-				return nil, nil
-			}
-			return nil, err
-		}
-		return out, nil
-	}
-}
-
-func perTraceGeoI(epsilon float64, seed int64) PerTraceFunc {
-	cfg := geoind.Config{Epsilon: epsilon, Seed: seed}
-	return func(ctx context.Context, tr *Trace) (*Trace, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Same per-(seed, user) RNG derivation as PerturbDatasetCtx, so
-		// the noise stream is identical to the batch run.
-		m, err := geoind.NewForUser(cfg, tr.User)
-		if err != nil {
-			return nil, err
-		}
-		return m.Perturb(tr)
-	}
 }

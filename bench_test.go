@@ -1,13 +1,13 @@
-// Repository-level benchmarks: one per experiment (E1..E12, the tables
-// and figure-series of the evaluation — see DESIGN.md §4) plus
-// throughput benchmarks for the pipeline and each baseline. Regenerate
-// everything with:
+// Repository-level benchmarks: one per experiment (E1..E15, the tables
+// and figure-series of the evaluation registered in internal/experiment)
+// plus throughput benchmarks for the pipeline and each baseline.
+// Regenerate everything with:
 //
 //	go test -bench=. -benchmem
 //
 // The experiment benchmarks run at Quick scale so the whole suite stays
-// in CI territory; the recorded full-scale tables live in EXPERIMENTS.md
-// and are regenerated with cmd/mobibench.
+// in CI territory; the full-scale tables are regenerated with
+// cmd/mobibench.
 package mobipriv_test
 
 import (
@@ -21,9 +21,7 @@ import (
 	"time"
 
 	"mobipriv"
-	"mobipriv/internal/baseline/geoind"
 	"mobipriv/internal/baseline/w4m"
-	"mobipriv/internal/core"
 	"mobipriv/internal/experiment"
 	"mobipriv/internal/mixzone"
 	"mobipriv/internal/obs"
@@ -86,15 +84,12 @@ func benchDataset(b *testing.B) *trace.Dataset {
 // reports throughput in input points per second.
 func BenchmarkPipeline(b *testing.B) {
 	d := benchDataset(b)
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	mech := mobipriv.MustFromSpec("pipeline")
 	points := float64(d.TotalPoints())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Anonymize(d); err != nil {
+		if _, err := mech.Apply(context.Background(), d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,12 +99,12 @@ func BenchmarkPipeline(b *testing.B) {
 // BenchmarkSpeedSmoothing measures step 1 alone.
 func BenchmarkSpeedSmoothing(b *testing.B) {
 	d := benchDataset(b)
-	cfg := core.DefaultConfig()
+	mech := mobipriv.Pipeline(mobipriv.DefaultSpeedSmooth())
 	points := float64(d.TotalPoints())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SmoothDataset(d, cfg); err != nil {
+		if _, err := mech.Apply(context.Background(), d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -357,11 +352,12 @@ func BenchmarkZoneDetection(b *testing.B) {
 // BenchmarkGeoI measures the planar Laplace baseline.
 func BenchmarkGeoI(b *testing.B) {
 	d := benchDataset(b)
+	mech := mobipriv.GeoI(0.01, 1)
 	points := float64(d.TotalPoints())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := geoind.PerturbDataset(d, geoind.DefaultConfig()); err != nil {
+		if _, err := mech.Apply(context.Background(), d); err != nil {
 			b.Fatal(err)
 		}
 	}

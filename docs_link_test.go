@@ -2,6 +2,9 @@ package mobipriv_test
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,8 +16,12 @@ import (
 // link in README.md and docs/ must resolve to an existing file, and
 // every anchor (same-file or cross-file) to a real heading. External
 // http(s) links are only checked for well-formedness, so the test
-// needs no network and cannot flake.
+// needs no network and cannot flake. It also checks the code side:
+// every *.md name cited in a comment of a non-test Go file must exist,
+// relative to that file's directory or to the repository root.
 func TestDocsLinks(t *testing.T) {
+	checkGoCommentCitations(t)
+
 	files := []string{"README.md"}
 	entries, err := os.ReadDir("docs")
 	if err != nil {
@@ -71,6 +78,49 @@ func TestDocsLinks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkGoCommentCitations walks the repository's non-test Go files
+// (skipping hidden directories) and fails on every *.md name cited in
+// a comment that resolves to no file.
+func checkGoCommentCitations(t *testing.T) {
+	t.Helper()
+	mdRE := regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b`)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, name := range mdRE.FindAllString(group.Text(), -1) {
+				if !exists(filepath.Join(filepath.Dir(path), name)) && !exists(name) {
+					t.Errorf("%s: comment cites %s, which does not exist", path, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // headingSlugs collects the GitHub-style anchor slugs of a markdown

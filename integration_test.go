@@ -1,6 +1,7 @@
 package mobipriv_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -22,11 +23,7 @@ func TestHeadlineTaxiReproduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.Anonymize(g.Dataset)
+	res, err := mobipriv.MustFromSpec("pipeline").Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +50,8 @@ func TestHeadlineTaxiReproduction(t *testing.T) {
 	}
 }
 
-// TestAnonymizerConcurrentUse verifies the documented claim that one
-// Anonymizer may serve multiple goroutines.
+// TestAnonymizerConcurrentUse verifies the documented Mechanism claim
+// that one resolved pipeline may serve multiple goroutines.
 func TestAnonymizerConcurrentUse(t *testing.T) {
 	cfg := synth.DefaultCommuterConfig()
 	cfg.Users = 6
@@ -63,10 +60,7 @@ func TestAnonymizerConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mobipriv.MustFromSpec("pipeline")
 	const workers = 8
 	results := make([]*mobipriv.Result, workers)
 	errs := make([]error, workers)
@@ -75,7 +69,7 @@ func TestAnonymizerConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = a.Anonymize(g.Dataset)
+			results[i], errs[i] = a.Apply(context.Background(), g.Dataset)
 		}(i)
 	}
 	wg.Wait()

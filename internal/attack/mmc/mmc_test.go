@@ -1,13 +1,13 @@
 package mmc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"mobipriv"
-	"mobipriv/internal/core"
 	"mobipriv/internal/geo"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
@@ -175,11 +175,11 @@ func TestReidentifyRawVsSmoothed(t *testing.T) {
 	// extracts lie on the user's own route, which passes through her own
 	// home and workplace, so nearest-chain matching still succeeds. This
 	// is an honest negative result: stop hiding is not route hiding.
-	smoothed, _, err := core.SmoothDataset(test, core.DefaultConfig())
+	smoothed, err := mobipriv.MustFromSpec("promesse").Apply(context.Background(), test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := Reidentify(smoothed, chains, ident, DefaultConfig(), 500)
+	sm, err := Reidentify(smoothed.Dataset, chains, ident, DefaultConfig(), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,7 @@ func TestReidentifyRawVsSmoothed(t *testing.T) {
 
 	// The full pipeline (swapping) is what breaks route-based matching:
 	// published traces are composites of several users' routes.
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.Anonymize(test)
+	res, err := mobipriv.MustFromSpec("pipeline").Apply(context.Background(), test)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package poiattack
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"mobipriv/internal/core"
+	"mobipriv"
+
 	"mobipriv/internal/geo"
 	"mobipriv/internal/poi"
 	"mobipriv/internal/synth"
@@ -43,10 +45,7 @@ func TestEvaluateRawDataHighF1(t *testing.T) {
 
 func TestEvaluateSmoothedDataLowF1(t *testing.T) {
 	g := commuters(t, 10)
-	sm, _, err := core.SmoothDataset(g.Dataset, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sm := promesse(t, g.Dataset)
 	raw, err := Evaluate(g.Dataset, g.Stays, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +97,7 @@ func TestTruePOIsMergesRepeatStays(t *testing.T) {
 // legacy_test.go): identical scores, raw and anonymized alike.
 func TestEvaluateMatchesLegacy(t *testing.T) {
 	g := commuters(t, 10)
-	sm, _, err := core.SmoothDataset(g.Dataset, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sm := promesse(t, g.Dataset)
 	cfgs := []Config{
 		DefaultConfig(),
 		{POI: poi.Config{MaxDiameter: 100, MinDuration: 10 * time.Minute, MergeRadius: 150}, MatchRadius: 100},
@@ -122,4 +118,15 @@ func TestEvaluateMatchesLegacy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// promesse publishes d through the smoothing-only mechanism at the
+// paper's operating point (100 m spacing, trim = spacing).
+func promesse(t *testing.T, d *trace.Dataset) *trace.Dataset {
+	t.Helper()
+	res, err := mobipriv.MustFromSpec("promesse").Apply(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Dataset
 }

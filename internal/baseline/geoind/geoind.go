@@ -12,7 +12,6 @@
 package geoind
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -20,7 +19,6 @@ import (
 	"math/rand"
 
 	"mobipriv/internal/geo"
-	"mobipriv/internal/par"
 	"mobipriv/internal/rng"
 	"mobipriv/internal/trace"
 )
@@ -39,7 +37,8 @@ type Config struct {
 // experiments (expected displacement 2/0.01 = 200 m).
 func DefaultConfig() Config { return Config{Epsilon: 0.01, Seed: 1} }
 
-func (c Config) validate() error {
+// Validate reports a configuration the mechanism cannot run with.
+func (c Config) Validate() error {
 	if c.Epsilon <= 0 || math.IsNaN(c.Epsilon) || math.IsInf(c.Epsilon, 0) {
 		return errors.New("geoind: Epsilon must be a positive finite number")
 	}
@@ -55,19 +54,20 @@ type Mechanism struct {
 
 // New returns a mechanism with the given configuration.
 func New(cfg Config) (*Mechanism, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Mechanism{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
 // NewForUser returns a mechanism whose noise stream is derived from
-// (cfg.Seed, user) exactly as PerturbDatasetCtx derives per-trace RNGs,
-// so feeding a user's observations through PerturbPoint one at a time
-// (in order) reproduces the batch output byte for byte. This is the
-// constructor the streaming adapter uses.
+// (cfg.Seed, user) alone, so the output for a given seed does not
+// depend on trace order or worker count. Perturb on the result is the
+// per-trace kernel of the geoi mechanism, and feeding the user's
+// observations through PerturbPoint one at a time (in order) reproduces
+// it byte for byte — the constructor the streaming adapter uses.
 func NewForUser(cfg Config, user string) (*Mechanism, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Mechanism{cfg: cfg, rng: rand.New(rand.NewSource(traceSeed(cfg.Seed, user)))}, nil
@@ -160,46 +160,6 @@ func (m *Mechanism) Perturb(tr *trace.Trace) (*trace.Trace, error) {
 		return nil, fmt.Errorf("geoind: build perturbed trace: %w", err)
 	}
 	return out, nil
-}
-
-// PerturbDataset applies Perturb to every trace. Each trace is
-// perturbed with an independent RNG derived from (cfg.Seed, user), so
-// the output for a given seed does not depend on trace order or on the
-// worker count of PerturbDatasetCtx.
-func PerturbDataset(d *trace.Dataset, cfg Config) (*trace.Dataset, error) {
-	return PerturbDatasetCtx(context.Background(), d, cfg)
-}
-
-// PerturbDatasetCtx is PerturbDataset honoring context cancellation and
-// fanning the per-trace perturbation across the context's worker budget
-// (par.Workers). Per-trace seed derivation keeps the output identical
-// to the serial run.
-func PerturbDatasetCtx(ctx context.Context, d *trace.Dataset, cfg Config) (*trace.Dataset, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	traces := d.Traces()
-	out := make([]*trace.Trace, len(traces))
-	err := par.Map(ctx, len(traces), func(i int) error {
-		m, err := NewForUser(cfg, traces[i].User)
-		if err != nil {
-			return err
-		}
-		p, err := m.Perturb(traces[i])
-		if err != nil {
-			return err
-		}
-		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ds, err := trace.NewDataset(out)
-	if err != nil {
-		return nil, fmt.Errorf("geoind: assemble dataset: %w", err)
-	}
-	return ds, nil
 }
 
 // traceSeed derives an independent RNG seed for one trace from the

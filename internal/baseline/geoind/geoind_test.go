@@ -155,25 +155,25 @@ func TestPerturbDeterministicPerSeed(t *testing.T) {
 		{Point: origin, Time: t0},
 		{Point: geo.Offset(origin, 50, 0), Time: t0.Add(time.Minute)},
 	})
-	d := trace.MustNewDataset([]*trace.Trace{tr})
-	a, err := PerturbDataset(d, Config{Epsilon: 0.01, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	perturb := func(seed int64) *trace.Trace {
+		t.Helper()
+		m, err := NewForUser(Config{Epsilon: 0.01, Seed: seed}, tr.User)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := m.Perturb(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	b, err := PerturbDataset(d, Config{Epsilon: 0.01, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Traces()[0].Points {
-		if !a.Traces()[0].Points[i].Point.Equal(b.Traces()[0].Points[i].Point) {
+	a, b, c := perturb(5), perturb(5), perturb(6)
+	for i := range a.Points {
+		if !a.Points[i].Point.Equal(b.Points[i].Point) {
 			t.Fatal("same seed must give identical noise")
 		}
 	}
-	c, err := PerturbDataset(d, Config{Epsilon: 0.01, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Traces()[0].Points[0].Point.Equal(c.Traces()[0].Points[0].Point) {
+	if a.Points[0].Point.Equal(c.Points[0].Point) {
 		t.Fatal("different seeds should differ")
 	}
 }

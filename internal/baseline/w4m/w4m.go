@@ -9,7 +9,7 @@
 // from at least k−1 others.
 //
 // The implementation follows the published algorithm's structure with
-// documented simplifications (see DESIGN.md):
+// these documented simplifications:
 //
 //  1. Synchronization: each trajectory is resampled on a common time
 //     grid (Grid step).
@@ -70,7 +70,9 @@ func (c Config) maxRadius() float64 {
 	return 25 * c.Delta
 }
 
-func (c Config) validate() error {
+// Validate reports a configuration Anonymize would reject, so callers
+// can refuse it before loading any data.
+func (c Config) Validate() error {
 	switch {
 	case c.K < 2:
 		return errors.New("w4m: K must be at least 2")
@@ -112,7 +114,7 @@ func (s *synced) at(gi int) (geo.XY, bool) {
 
 // Anonymize applies the mechanism to the dataset.
 func Anonymize(d *trace.Dataset, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := d.Validate(); err != nil {

@@ -17,17 +17,18 @@
 //     otherwise remain identifiable as the endpoints of the published
 //     geometry.
 //
-// Time is distorted; space is almost untouched. See DESIGN.md §1.
+// Time is distorted; space is almost untouched. Smooth is the whole
+// kernel: the mobipriv package maps it over a dataset (the promesse
+// mechanism and the SpeedSmooth pipeline stage), withholding the traces
+// it rejects with ErrTraceTooShort or ErrZeroDuration.
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"mobipriv/internal/geo"
-	"mobipriv/internal/par"
 	"mobipriv/internal/trace"
 )
 
@@ -152,58 +153,4 @@ func simplify(positions []geo.Point, minDist float64) []geo.Point {
 		out = append(out, last)
 	}
 	return out
-}
-
-// Report describes the outcome of smoothing a whole dataset.
-type Report struct {
-	// Dropped lists the users whose traces were too short to anonymize
-	// (per the mechanism, publishing them would leak their endpoints).
-	Dropped []string
-}
-
-// SmoothDataset applies Smooth to every trace of the dataset. Traces
-// that are too short to anonymize are dropped — publishing them would
-// reveal endpoints — and reported. Any other failure aborts.
-func SmoothDataset(d *trace.Dataset, cfg Config) (*trace.Dataset, Report, error) {
-	return SmoothDatasetCtx(context.Background(), d, cfg)
-}
-
-// SmoothDatasetCtx is SmoothDataset honoring context cancellation and
-// fanning the per-trace work across the context's worker budget
-// (par.Workers). Smoothing one trace is independent of every other, and
-// results are collected by index, so the output is byte-identical to
-// the serial run regardless of worker count.
-func SmoothDatasetCtx(ctx context.Context, d *trace.Dataset, cfg Config) (*trace.Dataset, Report, error) {
-	var rep Report
-	traces := d.Traces()
-	smoothed := make([]*trace.Trace, len(traces)) // nil marks a dropped trace
-	dropped := make([]bool, len(traces))
-	err := par.Map(ctx, len(traces), func(i int) error {
-		sm, err := Smooth(traces[i], cfg)
-		if err != nil {
-			if errors.Is(err, ErrTraceTooShort) || errors.Is(err, ErrZeroDuration) {
-				dropped[i] = true
-				return nil
-			}
-			return err
-		}
-		smoothed[i] = sm
-		return nil
-	})
-	if err != nil {
-		return nil, rep, err
-	}
-	out := make([]*trace.Trace, 0, len(traces))
-	for i, sm := range smoothed {
-		if dropped[i] {
-			rep.Dropped = append(rep.Dropped, traces[i].User)
-			continue
-		}
-		out = append(out, sm)
-	}
-	ds, err := trace.NewDataset(out)
-	if err != nil {
-		return nil, rep, fmt.Errorf("core: assemble dataset: %w", err)
-	}
-	return ds, rep, nil
 }

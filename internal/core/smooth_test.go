@@ -199,6 +199,27 @@ func TestSmoothDefaultTrimIsEpsilon(t *testing.T) {
 	}
 }
 
+// smoothEach runs Smooth over every trace of d the way the mobipriv
+// package maps it: traces rejected with ErrTraceTooShort or
+// ErrZeroDuration are withheld and named in dropped, any other error
+// fails.
+func smoothEach(d *trace.Dataset, cfg Config) (out *trace.Dataset, dropped []string, err error) {
+	var kept []*trace.Trace
+	for _, tr := range d.Traces() {
+		s, err := Smooth(tr, cfg)
+		switch {
+		case errors.Is(err, ErrTraceTooShort) || errors.Is(err, ErrZeroDuration):
+			dropped = append(dropped, tr.User)
+		case err != nil:
+			return nil, nil, err
+		default:
+			kept = append(kept, s)
+		}
+	}
+	out, err = trace.NewDataset(kept)
+	return out, dropped, err
+}
+
 func TestSmoothDataset(t *testing.T) {
 	cfg := synth.DefaultCommuterConfig()
 	cfg.Users = 6
@@ -207,12 +228,12 @@ func TestSmoothDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, rep, err := SmoothDataset(g.Dataset, DefaultConfig())
+	out, dropped, err := smoothEach(g.Dataset, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len()+len(rep.Dropped) != g.Dataset.Len() {
-		t.Fatalf("output %d + dropped %d != input %d", out.Len(), len(rep.Dropped), g.Dataset.Len())
+	if out.Len()+len(dropped) != g.Dataset.Len() {
+		t.Fatalf("output %d + dropped %d != input %d", out.Len(), len(dropped), g.Dataset.Len())
 	}
 	if err := out.Validate(); err != nil {
 		t.Fatalf("smoothed dataset invalid: %v", err)
@@ -257,12 +278,12 @@ func TestSmoothDatasetDropsShortTraces(t *testing.T) {
 		{Point: geo.Destination(origin, 90, 80), Time: t0.Add(time.Minute)},
 	})
 	d := trace.MustNewDataset([]*trace.Trace{long, short})
-	out, rep, err := SmoothDataset(d, Config{Epsilon: 100, Trim: 100})
+	out, dropped, err := smoothEach(d, Config{Epsilon: 100, Trim: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 || len(rep.Dropped) != 1 || rep.Dropped[0] != "tiny" {
-		t.Fatalf("out=%d dropped=%v", out.Len(), rep.Dropped)
+	if out.Len() != 1 || len(dropped) != 1 || dropped[0] != "tiny" {
+		t.Fatalf("out=%d dropped=%v", out.Len(), dropped)
 	}
 }
 

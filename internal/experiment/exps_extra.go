@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"mobipriv"
 	"mobipriv/internal/attack/mmc"
 	"mobipriv/internal/attack/semantic"
-	"mobipriv/internal/core"
 	"mobipriv/internal/geo"
 	"mobipriv/internal/synth"
 	"mobipriv/internal/trace"
@@ -46,7 +46,7 @@ func runE13(s Scale) (*Table, error) {
 		Title:   "Semantic venue attack: true-POI recall among top-k venues (commuter workload)",
 		Columns: []string{"publication", "recall@1", "recall@3", "recall@5", "random@5"},
 	}
-	smoothed, _, err := core.SmoothDataset(g.Dataset, core.DefaultConfig())
+	smoothed, err := smooth(g.Dataset, 100, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func runE14(s Scale) (*Table, error) {
 	}
 	table.AddRow("raw", fmt.Sprintf("%d/%d", raw.Correct, raw.Total), fmtF(raw.Rate))
 
-	smoothed, _, err := core.SmoothDataset(test, core.DefaultConfig())
+	smoothed, err := smooth(test, 100, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -147,11 +147,7 @@ func runE14(s Scale) (*Table, error) {
 	}
 	table.AddRow("promesse", fmt.Sprintf("%d/%d", sm.Correct, sm.Total), fmtF(sm.Rate))
 
-	a, err := mobipriv.New(mobipriv.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	res, err := a.Anonymize(test)
+	res, err := mobipriv.MustFromSpec("pipeline").Apply(context.Background(), test)
 	if err != nil {
 		return nil, err
 	}

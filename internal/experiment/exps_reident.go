@@ -5,7 +5,6 @@ import (
 
 	"mobipriv/internal/attack/poiattack"
 	"mobipriv/internal/attack/reident"
-	"mobipriv/internal/core"
 	"mobipriv/internal/geo"
 	"mobipriv/internal/metrics"
 	"mobipriv/internal/mixzone"
@@ -164,8 +163,9 @@ func runE9(s Scale) (*Table, error) {
 	return table, nil
 }
 
-// runE12 is the ablation study over the design choices listed in
-// DESIGN.md §5.
+// runE12 is the ablation study over the pipeline's design choices:
+// zone suppression, identity swapping, smoothing, end trimming, and the
+// stage order (see the ordering note on mobipriv.Pipeline).
 func runE12(s Scale) (*Table, error) {
 	g, err := commuterWorkload(s)
 	if err != nil {
@@ -206,7 +206,7 @@ func runE12(s Scale) (*Table, error) {
 		// Figure 1's presentation order would do.
 		zoneInput := g.Dataset
 		if v.smoothFirst {
-			sm, _, err := core.SmoothDataset(g.Dataset, core.Config{Epsilon: 100, Trim: v.trim})
+			sm, err := smooth(g.Dataset, 100, v.trim)
 			if err != nil {
 				return nil, err
 			}
@@ -218,7 +218,7 @@ func runE12(s Scale) (*Table, error) {
 		}
 		published := res.Dataset
 		if v.smooth && !v.smoothFirst {
-			sm, _, err := core.SmoothDataset(published, core.Config{Epsilon: 100, Trim: v.trim})
+			sm, err := smooth(published, 100, v.trim)
 			if err != nil {
 				return nil, err
 			}
@@ -240,7 +240,7 @@ func runE12(s Scale) (*Table, error) {
 		}
 		dist := "-"
 		if v.smooth {
-			sm, _, err := core.SmoothDataset(g.Dataset, core.Config{Epsilon: 100, Trim: v.trim})
+			sm, err := smooth(g.Dataset, 100, v.trim)
 			if err != nil {
 				return nil, err
 			}

@@ -1,9 +1,9 @@
 // Package experiment implements the evaluation harness: every
-// experiment E1..E12 from DESIGN.md §4 is a named, self-contained
-// function producing a table that can be rendered to text. The cmd/
-// binaries and the repository-level benchmarks are thin wrappers around
-// this registry, so the numbers in EXPERIMENTS.md are regenerable with
-// one command.
+// experiment E1..E15 is a named, self-contained function producing a
+// table that can be rendered to text. The cmd/ binaries and the
+// repository-level benchmarks are thin wrappers around this registry,
+// so every table is regenerable with one command (cmd/mobibench; see
+// docs/CLI.md).
 package experiment
 
 import (
@@ -21,7 +21,7 @@ const (
 	// Quick is used by tests and benchmarks: small workloads, seconds.
 	Quick Scale = iota + 1
 	// Full is used by cmd/mobibench for the recorded results: the
-	// workload sizes documented in EXPERIMENTS.md.
+	// paper-scale workload sizes.
 	Full
 )
 

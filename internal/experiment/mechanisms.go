@@ -60,6 +60,13 @@ func (m mechanism) apply(d *trace.Dataset) (*trace.Dataset, error) {
 	return res.Dataset, nil
 }
 
+// smooth publishes d through the speed-smoothing stage alone, at the
+// given spacing and end trim (negative: equal to epsilon).
+func smooth(d *trace.Dataset, epsilon, trim float64) (*trace.Dataset, error) {
+	stage := mobipriv.SpeedSmooth{Epsilon: epsilon, Trim: trim}
+	return mechanism{name: "smooth", mech: mobipriv.Pipeline(stage)}.apply(d)
+}
+
 // standardMechanisms resolves the current lineup from the registry.
 // The default lineup is known-good, and SetLineup validates eagerly, so
 // a resolution failure here is a programmer error.

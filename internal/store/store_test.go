@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -318,21 +319,21 @@ func TestScanFiltersAndPruning(t *testing.T) {
 			}
 		}
 		var stats ScanStats
-		got := 0
+		var got atomic.Int64 // the callback runs on 4 scan workers
 		err := s.Scan(ctx, ScanOptions{BBox: box, Workers: 4, Stats: &stats}, func(_ string, pts []trace.Point) error {
 			for _, p := range pts {
 				if !box.Contains(p.Point) {
 					t.Errorf("point %v outside bbox", p)
 				}
 			}
-			got += len(pts)
+			got.Add(int64(len(pts)))
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("yielded %d points, want %d", got, want)
+		if got.Load() != int64(want) {
+			t.Errorf("yielded %d points, want %d", got.Load(), want)
 		}
 	})
 

@@ -1,6 +1,7 @@
 package mobipriv
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -22,16 +23,24 @@ func commuterData(t testing.TB, users int) *synth.Generated {
 	return g
 }
 
+// applySpec resolves spec and applies it to d, failing the test on any
+// error.
+func applySpec(t testing.TB, spec string, d *Dataset) *Result {
+	t.Helper()
+	m, err := FromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Apply(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestAnonymizeEndToEnd(t *testing.T) {
 	g := commuterData(t, 12)
-	anon, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anon.Anonymize(g.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := applySpec(t, "pipeline", g.Dataset)
 	if err := res.Dataset.Validate(); err != nil {
 		t.Fatalf("published dataset invalid: %v", err)
 	}
@@ -52,14 +61,7 @@ func TestAnonymizeEndToEnd(t *testing.T) {
 
 func TestAnonymizeHidesPOIs(t *testing.T) {
 	g := commuterData(t, 12)
-	anon, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anon.Anonymize(g.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := applySpec(t, "pipeline", g.Dataset)
 	raw, err := poiattack.Evaluate(g.Dataset, g.Stays, poiattack.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -78,14 +80,7 @@ func TestAnonymizeHidesPOIs(t *testing.T) {
 
 func TestAnonymizeGroundTruth(t *testing.T) {
 	g := commuterData(t, 10)
-	anon, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anon.Anonymize(g.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := applySpec(t, "pipeline", g.Dataset)
 	// Every published identity resolves to some original user at the
 	// midpoint of its span, and MajorityOwner is consistent with the
 	// original user set.
@@ -115,15 +110,12 @@ func TestAnonymizeGroundTruth(t *testing.T) {
 
 func TestAnonymizeDeterministic(t *testing.T) {
 	g := commuterData(t, 8)
-	anon, err := New(DefaultOptions())
+	anon := MustFromSpec("pipeline")
+	r1, err := anon.Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := anon.Anonymize(g.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := anon.Anonymize(g.Dataset)
+	r2, err := anon.Apply(context.Background(), g.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,44 +133,17 @@ func TestAnonymizeDeterministic(t *testing.T) {
 func TestAnonymizeAblations(t *testing.T) {
 	g := commuterData(t, 10)
 
-	noSwap := DefaultOptions()
-	noSwap.DisableSwapping = true
-	a1, err := New(noSwap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := a1.Anonymize(g.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := applySpec(t, "pipeline(no-swap=true)", g.Dataset)
 	if r1.Swaps() != 0 {
 		t.Errorf("DisableSwapping: %d swaps", r1.Swaps())
 	}
 
-	noSupp := DefaultOptions()
-	noSupp.DisableSuppression = true
-	a2, err := New(noSupp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := a2.Anonymize(g.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := applySpec(t, "pipeline(no-suppress=true)", g.Dataset)
 	if r2.SuppressedPoints() != 0 {
 		t.Errorf("DisableSuppression: %d suppressed", r2.SuppressedPoints())
 	}
 
-	noSmooth := DefaultOptions()
-	noSmooth.DisableSmoothing = true
-	a3, err := New(noSmooth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := a3.Anonymize(g.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r3 := applySpec(t, "pipeline(no-smooth=true)", g.Dataset)
 	// Without smoothing nothing is dropped for shortness and POIs leak.
 	after, err := poiattack.Evaluate(r3.Dataset, g.Stays, poiattack.DefaultConfig())
 	if err != nil {
@@ -190,41 +155,27 @@ func TestAnonymizeAblations(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	bad := []Options{
-		{Epsilon: 0, ZoneRadius: 100, ZoneWindow: time.Minute},
-		{Epsilon: 100, ZoneRadius: 0, ZoneWindow: time.Minute},
-		{Epsilon: 100, ZoneRadius: 100, ZoneWindow: 0},
-		{Epsilon: 100, ZoneRadius: 100, ZoneWindow: time.Minute, ZoneCooldown: -1},
+	// The stages the pipeline is built from reject the values the
+	// pipeline spec rejects, also when composed by hand.
+	g := commuterData(t, 3)
+	zones := func(radius float64, window, cooldown time.Duration) MixZoneSwap {
+		z := DefaultMixZoneSwap()
+		z.Radius, z.Window, z.Cooldown = radius, window, cooldown
+		return z
 	}
-	for i, o := range bad {
-		if _, err := New(o); err == nil {
-			t.Errorf("case %d: invalid options accepted", i)
+	bad := []Stage{
+		SpeedSmooth{Epsilon: 0},
+		zones(0, time.Minute, 0),
+		zones(100, 0, 0),
+		zones(100, time.Minute, -1),
+	}
+	for i, st := range bad {
+		if _, err := Pipeline(st).Apply(context.Background(), g.Dataset); err == nil {
+			t.Errorf("case %d: invalid %s stage accepted", i, st.StageName())
 		}
 	}
-	// DisableSmoothing makes Epsilon irrelevant.
-	ok := DefaultOptions()
-	ok.Epsilon = 0
-	ok.DisableSmoothing = true
-	if _, err := New(ok); err != nil {
-		t.Errorf("DisableSmoothing with Epsilon=0 rejected: %v", err)
-	}
-}
-
-func TestSmoothOnly(t *testing.T) {
-	g := commuterData(t, 5)
-	out, dropped, err := SmoothOnly(g.Dataset, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len()+len(dropped) != g.Dataset.Len() {
-		t.Fatalf("out %d + dropped %d != in %d", out.Len(), len(dropped), g.Dataset.Len())
-	}
-	// Identities preserved by SmoothOnly.
-	for _, u := range out.Users() {
-		if g.Dataset.ByUser(u) == nil {
-			t.Errorf("unknown user %q in smoothed output", u)
-		}
-	}
+	// Without the smoothing stage the spacing is irrelevant.
+	applySpec(t, "pipeline(epsilon=0,no-smooth=true)", g.Dataset)
 }
 
 func TestNewTraceNewDataset(t *testing.T) {

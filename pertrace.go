@@ -2,6 +2,11 @@ package mobipriv
 
 import (
 	"context"
+	"errors"
+	"fmt"
+
+	"mobipriv/internal/par"
+	"mobipriv/internal/trace"
 )
 
 // PerTraceFunc anonymizes ONE trace independently of every other trace
@@ -12,9 +17,12 @@ import (
 // The per-trace contract is strict equivalence: applying the function
 // to each trace of a dataset must produce exactly the traces that the
 // mechanism's batch Apply would publish for that dataset (same points,
-// same drops). Mechanisms that need cross-trace context — mix-zone
-// detection, (k,δ)-aggregation — cannot satisfy it and do not expose
-// the capability.
+// same drops). The built-in trace-independent mechanisms (raw,
+// promesse, geoi) and the SpeedSmooth stage hold it by construction:
+// the per-trace function is their only kernel, and their batch Apply is
+// derived from it by mapTraces. Mechanisms that need cross-trace
+// context — mix-zone detection, (k,δ)-aggregation — cannot satisfy it
+// and do not expose the capability.
 type PerTraceFunc func(ctx context.Context, tr *Trace) (*Trace, error)
 
 // PerTracer is the optional capability a Mechanism grows when each
@@ -84,3 +92,66 @@ func (p perTraced) PerTrace() PerTraceFunc { return p.fn }
 // Unwrap lets the other capability probes (AsStreaming) see through
 // this layer.
 func (p perTraced) Unwrap() Mechanism { return p.Mechanism }
+
+// mapTraces is the batch form of a per-trace kernel: it applies fn to
+// every trace of d, fanned over the context's worker budget (par.Map),
+// and collects the results by index, so the output is byte-identical
+// to the serial run at any worker count. The users whose traces fn
+// withheld are reported, in dataset order, as the Dropped list of one
+// StageReport appended to res under the given stage name.
+func mapTraces(ctx context.Context, d *Dataset, stage string, fn PerTraceFunc, res *Result) (*Dataset, error) {
+	if d == nil {
+		return nil, errors.New("mobipriv: nil dataset")
+	}
+	in := d.Traces()
+	out := make([]*Trace, len(in)) // nil marks a withheld trace
+	err := par.Map(ctx, len(in), func(i int) error {
+		var err error
+		out[i], err = fn(ctx, in[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	kept := out[:0]
+	var dropped []string
+	for i, tr := range out {
+		if tr == nil {
+			dropped = append(dropped, in[i].User)
+			continue
+		}
+		kept = append(kept, tr)
+	}
+	ds, err := trace.NewDataset(kept)
+	if err != nil {
+		return nil, fmt.Errorf("mobipriv: %s: assemble dataset: %w", stage, err)
+	}
+	res.AddReport(StageReport{Stage: stage, Dropped: dropped})
+	return ds, nil
+}
+
+// keepTrace is the identity kernel: raw publication, and Pseudonymize
+// with an empty prefix.
+func keepTrace(_ context.Context, tr *Trace) (*Trace, error) { return tr, nil }
+
+// perTraceMechanism derives a single-stage mechanism from its per-trace
+// kernel: Apply maps fn over the dataset, and the per-trace capability
+// (AsPerTrace) exposes fn itself. check, when non-nil, validates the
+// configuration before any trace is touched.
+func perTraceMechanism(name, stage string, check func() error, fn PerTraceFunc) Mechanism {
+	m := NewMechanism(name, func(ctx context.Context, d *Dataset) (*Result, error) {
+		if check != nil {
+			if err := check(); err != nil {
+				return nil, err
+			}
+		}
+		res := &Result{}
+		out, err := mapTraces(ctx, d, stage, fn, res)
+		if err != nil {
+			return nil, err
+		}
+		res.Dataset = out
+		return res, nil
+	})
+	return WithPerTrace(m, fn)
+}

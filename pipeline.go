@@ -31,6 +31,16 @@ type Stage interface {
 //	Pipeline(DefaultMixZoneSwap(), DefaultSpeedSmooth(), DefaultPseudonymize())
 //
 // but any subset, ordering, or custom Stage composes the same way.
+//
+// Ordering note: mix-zones are detected and applied on the ORIGINAL
+// timing, and speed smoothing runs afterwards on the swapped composite
+// traces. The paper's Figure 1 presents the stages in the opposite
+// order, but detection must see real simultaneity — after time
+// distortion, users who met in reality no longer co-occur in published
+// time, and the zone supply collapses (the E12 "smooth-first order"
+// row measures it). Swapping first and smoothing second also erases
+// the swap seams: each published trace is a single constant-speed
+// journey with no visible suture inside the zone.
 func Pipeline(stages ...Stage) Mechanism {
 	return pipelineMechanism{name: "pipeline", stages: stages}
 }
@@ -98,16 +108,25 @@ func DefaultMixZoneSwap() MixZoneSwap {
 // StageName implements Stage.
 func (s MixZoneSwap) StageName() string { return "mixzones" }
 
+// validate rejects a zone configuration meeting detection cannot run
+// with; the pipeline spec factory calls it too, so a bad spec fails
+// before any data is loaded.
+func (s MixZoneSwap) validate() error {
+	switch {
+	case s.Radius <= 0:
+		return errors.New("Radius must be positive")
+	case s.Window <= 0:
+		return errors.New("Window must be positive")
+	case s.Cooldown < 0:
+		return errors.New("Cooldown must be non-negative")
+	}
+	return nil
+}
+
 // Run implements Stage.
 func (s MixZoneSwap) Run(ctx context.Context, d *Dataset, res *Result) (*Dataset, error) {
-	if s.Radius <= 0 {
-		return nil, errors.New("Radius must be positive")
-	}
-	if s.Window <= 0 {
-		return nil, errors.New("Window must be positive")
-	}
-	if s.Cooldown < 0 {
-		return nil, errors.New("Cooldown must be non-negative")
+	if err := s.validate(); err != nil {
+		return nil, err
 	}
 	mz, err := mixzone.Apply(d, mixzone.Config{
 		Radius:         s.Radius,
@@ -158,14 +177,26 @@ func DefaultSpeedSmooth() SpeedSmooth { return SpeedSmooth{Epsilon: 100, Trim: -
 // StageName implements Stage.
 func (s SpeedSmooth) StageName() string { return "smooth" }
 
-// Run implements Stage.
+// Run implements Stage: the per-trace kernel (PerTrace) mapped over
+// the dataset.
 func (s SpeedSmooth) Run(ctx context.Context, d *Dataset, res *Result) (*Dataset, error) {
-	smoothed, rep, err := core.SmoothDatasetCtx(ctx, d, core.Config{Epsilon: s.Epsilon, Trim: s.Trim})
-	if err != nil {
-		return nil, err
+	return mapTraces(ctx, d, s.StageName(), s.PerTrace(), res)
+}
+
+// PerTrace implements PerTraceStage. It is the kernel of both this
+// stage and the promesse mechanism: core.Smooth, with the traces it
+// finds too short to survive trimming (or spanning no time) withheld
+// rather than failing the run — publishing them would reveal their
+// endpoints.
+func (s SpeedSmooth) PerTrace() PerTraceFunc {
+	cfg := core.Config{Epsilon: s.Epsilon, Trim: s.Trim}
+	return func(_ context.Context, tr *Trace) (*Trace, error) {
+		out, err := core.Smooth(tr, cfg)
+		if errors.Is(err, core.ErrTraceTooShort) || errors.Is(err, core.ErrZeroDuration) {
+			return nil, nil
+		}
+		return out, err
 	}
-	res.AddReport(StageReport{Stage: s.StageName(), Dropped: rep.Dropped})
-	return smoothed, nil
 }
 
 // Pseudonymize replaces user identifiers with opaque pseudonyms
@@ -253,12 +284,6 @@ type PerTraceStage interface {
 	PerTrace() PerTraceFunc
 }
 
-// PerTrace implements PerTraceStage: smoothing is independent per
-// trace, with the same drops the batch stage reports.
-func (s SpeedSmooth) PerTrace() PerTraceFunc {
-	return perTracePromesse(s.Epsilon, s.Trim)
-}
-
 // PerTrace implements PerTraceStage. Only the empty-prefix form is
 // trace-independent: assigning Prefix000, Prefix001, ... requires the
 // full sorted user list.
@@ -266,12 +291,7 @@ func (s Pseudonymize) PerTrace() PerTraceFunc {
 	if s.Prefix != "" {
 		return nil
 	}
-	return func(ctx context.Context, tr *Trace) (*Trace, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return tr, nil
-	}
+	return keepTrace
 }
 
 // PerTrace composes the stages' per-trace forms, or returns nil when

@@ -26,6 +26,8 @@ func TestFromSpecValid(t *testing.T) {
 		{"pipeline", "pipeline"},
 		{"pipeline(epsilon=150,zone-radius=50,seed=7)", "pipeline(epsilon=150,zone-radius=50,seed=7)"},
 		{"pipeline(no-swap=true)", "pipeline(no-swap=true)"},
+		// Without the smoothing stage the spacing is irrelevant.
+		{"pipeline(epsilon=0,no-smooth=true)", "pipeline(epsilon=0,no-smooth=true)"},
 		{"geoi", "geoi"},
 		{"geoi(0.01)", "geoi(0.01)"},
 		{"geoi(epsilon=0.05,seed=3)", "geoi(epsilon=0.05,seed=3)"},
@@ -53,21 +55,27 @@ func TestFromSpecValid(t *testing.T) {
 
 func TestFromSpecInvalid(t *testing.T) {
 	cases := []string{
-		"",                          // empty
-		"   ",                       // blank
-		"nope",                      // unknown mechanism
-		"quantum(entangle=9)",       // unknown mechanism with params
-		"promesse(epsilon=abc)",     // bad float
-		"promesse(spacing=100)",     // unknown parameter
-		"w4m(k=four)",               // bad int
-		"w4m(k=4,k=5)",              // duplicate key
-		"geoi(0.01,0.02)",           // too many positionals
-		"pipeline(epsilon=0)",       // fails Options validation
-		"pipeline(zone-window=wat)", // bad duration
-		"promesse(epsilon=100",      // missing closing paren
-		"pro messe",                 // invalid name
-		"promesse(=5)",              // key-less parameter
-		"geoi(epsilon=0.01,0.02)",   // positional after named
+		"",                           // empty
+		"   ",                        // blank
+		"nope",                       // unknown mechanism
+		"quantum(entangle=9)",        // unknown mechanism with params
+		"promesse(epsilon=abc)",      // bad float
+		"promesse(spacing=100)",      // unknown parameter
+		"w4m(k=four)",                // bad int
+		"w4m(k=4,k=5)",               // duplicate key
+		"geoi(0.01,0.02)",            // too many positionals
+		"pipeline(epsilon=0)",        // smoothing needs a positive spacing
+		"pipeline(zone-radius=0)",    // zones need a positive radius
+		"pipeline(zone-window=0s)",   // ... a positive window
+		"pipeline(zone-cooldown=-1)", // ... a non-negative cooldown
+		"pipeline(zone-window=wat)",  // bad duration
+		"w4m(k=1)",                   // anonymity sets need k >= 2
+		"w4m(delta=-3)",              // tubes need a positive diameter
+		"w4m(k=0,delta=0)",           // both
+		"promesse(epsilon=100",       // missing closing paren
+		"pro messe",                  // invalid name
+		"promesse(=5)",               // key-less parameter
+		"geoi(epsilon=0.01,0.02)",    // positional after named
 	}
 	for _, spec := range cases {
 		if _, err := FromSpec(spec); err == nil {
@@ -234,34 +242,55 @@ func TestSplitSpecs(t *testing.T) {
 // TestLineupMatchesHandWired asserts that FromSpec of each standard
 // lineup entry behaves exactly like a direct call into the underlying
 // packages — i.e. the registry adds spec parsing and defaults without
-// changing behavior. (For geoi, "direct" means PerturbDataset, whose
-// per-trace RNG derivation this PR introduced for worker-count
-// independence; the seed repo's shared-RNG serial stream is
-// intentionally not preserved.)
+// changing behavior. The trace-independent references are wired here,
+// trace by trace, rather than through the mechanisms' own per-trace
+// kernels, so they stay an independent check: core.Smooth withholding
+// what it rejects as too short, and geoind.NewForUser+Perturb with the
+// per-(seed, user) noise stream.
 func TestLineupMatchesHandWired(t *testing.T) {
 	g := commuterData(t, 10)
 	d := g.Dataset
 	ctx := context.Background()
 
-	handWired := map[string]func() (*trace.Dataset, error){
-		"raw": func() (*trace.Dataset, error) { return d, nil },
-		"promesse": func() (*trace.Dataset, error) {
-			out, _, err := core.SmoothDataset(d, core.DefaultConfig())
-			return out, err
-		},
-		"pipeline": func() (*trace.Dataset, error) {
-			a, err := New(DefaultOptions())
+	perTrace := func(fn func(*trace.Trace) (*trace.Trace, error)) (*trace.Dataset, error) {
+		var out []*trace.Trace
+		for _, tr := range d.Traces() {
+			p, err := fn(tr)
 			if err != nil {
 				return nil, err
 			}
-			res, err := a.Anonymize(d)
+			if p != nil {
+				out = append(out, p)
+			}
+		}
+		return trace.NewDataset(out)
+	}
+	handWired := map[string]func() (*trace.Dataset, error){
+		"raw": func() (*trace.Dataset, error) { return d, nil },
+		"promesse": func() (*trace.Dataset, error) {
+			return perTrace(func(tr *trace.Trace) (*trace.Trace, error) {
+				sm, err := core.Smooth(tr, core.DefaultConfig())
+				if errors.Is(err, core.ErrTraceTooShort) || errors.Is(err, core.ErrZeroDuration) {
+					return nil, nil
+				}
+				return sm, err
+			})
+		},
+		"pipeline": func() (*trace.Dataset, error) {
+			res, err := Pipeline(DefaultMixZoneSwap(), DefaultSpeedSmooth(), DefaultPseudonymize()).Apply(ctx, d)
 			if err != nil {
 				return nil, err
 			}
 			return res.Dataset, nil
 		},
 		"geoi(0.01)": func() (*trace.Dataset, error) {
-			return geoind.PerturbDataset(d, geoind.Config{Epsilon: 0.01, Seed: 1})
+			return perTrace(func(tr *trace.Trace) (*trace.Trace, error) {
+				m, err := geoind.NewForUser(geoind.Config{Epsilon: 0.01, Seed: 1}, tr.User)
+				if err != nil {
+					return nil, err
+				}
+				return m.Perturb(tr)
+			})
 		},
 		"w4m(k=4,delta=200)": func() (*trace.Dataset, error) {
 			res, err := w4m.Anonymize(d, w4m.DefaultConfig())

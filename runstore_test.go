@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,6 +34,17 @@ func storeDataset(users, pointsEach int) *trace.Dataset {
 		traces = append(traces, trace.MustNew(fmt.Sprintf("user%03d", u), pts))
 	}
 	return trace.MustNewDataset(traces)
+}
+
+// withTooShortUser adds user "tiny", whose 80 m walk cannot survive
+// promesse's end trimming, so a run also exercises the drop path.
+func withTooShortUser(d *trace.Dataset) *trace.Dataset {
+	base := time.Date(2025, 6, 1, 8, 0, 0, 0, time.UTC)
+	tiny := trace.MustNew("tiny", []trace.Point{
+		trace.P(47.9, 2.0, base),
+		trace.P(47.90072, 2.0, base.Add(time.Minute)),
+	})
+	return trace.MustNewDataset(append(append([]*trace.Trace(nil), d.Traces()...), tiny))
 }
 
 // buildInputStore writes d into a store; fragmented spreads each user
@@ -114,9 +126,10 @@ func sameDatasets(t *testing.T, a, b *trace.Dataset) {
 // for every per-trace mechanism, RunStore's output store Load()s
 // identical to running the in-memory Runner on Load()ed input and
 // storing the result — same spec, same seed, across worker counts and
-// input fragmentation.
+// input fragmentation. One input user is too short for promesse, so
+// both paths must also agree on what they withhold.
 func TestRunStoreEquivalence(t *testing.T) {
-	d := storeDataset(12, 50)
+	d := withTooShortUser(storeDataset(12, 50))
 	specs := []string{"raw", "promesse(epsilon=200)", "geoi(epsilon=0.01,seed=7)"}
 	for _, fragmented := range []bool{false, true} {
 		in := buildInputStore(t, d, fragmented)
@@ -158,6 +171,15 @@ func TestRunStoreEquivalence(t *testing.T) {
 					if want := res.DroppedUsers(); !reflect.DeepEqual(stats.Dropped, want) &&
 						(len(stats.Dropped) != 0 || len(want) != 0) {
 						t.Errorf("Dropped = %v, want %v", stats.Dropped, want)
+					}
+					if strings.HasPrefix(spec, "promesse") {
+						want := []string{"tiny"}
+						if !reflect.DeepEqual(res.DroppedUsers(), want) || !reflect.DeepEqual(stats.Dropped, want) {
+							t.Errorf("Dropped: Run %v, RunStore %v, want %v", res.DroppedUsers(), stats.Dropped, want)
+						}
+					}
+					if got := res.Dataset.Len() + len(res.DroppedUsers()); got != loaded.Len() {
+						t.Errorf("published %d + dropped %d != input %d", res.Dataset.Len(), len(res.DroppedUsers()), loaded.Len())
 					}
 					if stats.Traces != int64(loaded.Len()) {
 						t.Errorf("stats.Traces = %d, want %d", stats.Traces, loaded.Len())
