@@ -43,6 +43,11 @@ import (
 	"mobipriv/internal/router"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so slow-header connections cannot pile up. Bodies are not
+// bounded: a large streamed ingest body is legitimate.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mobirouter:", err)
@@ -86,7 +91,7 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	hs := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		<-ctx.Done()
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -80,6 +80,11 @@ import (
 	"mobipriv/internal/traceio"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so slow-header connections cannot pile up. Bodies are not
+// bounded: a large streamed ingest body is legitimate.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mobiserve:", err)
@@ -180,7 +185,7 @@ func run(args []string) error {
 		return err
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		<-ctx.Done()
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -3,8 +3,10 @@ package traceio
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mobipriv/internal/trace"
 )
@@ -128,4 +130,57 @@ func TestWriteJSONLRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEqualDatasets(t, d, got)
+}
+
+// FuzzDecodeCSV feeds arbitrary bytes to the CSV readers. They must
+// never panic, and any input ReadCSV accepts must round-trip through
+// WriteCSV and ReadCSV to the same users, point counts and instants.
+func FuzzDecodeCSV(f *testing.F) {
+	var buf bytes.Buffer
+	d := trace.MustNewDataset([]*trace.Trace{
+		trace.MustNew("alice", []trace.Point{trace.P(45.76, 4.83, t0), trace.P(45.77, 4.84, t0.Add(time.Second))}),
+		trace.MustNew("b,ob", []trace.Point{trace.P(-33.9, 151.2, t0.Add(123456789))}),
+	})
+	if err := WriteCSV(&buf, d); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(gzipped(f, buf.Bytes()))
+	f.Add([]byte("alice,1435651200,45.76,4.83\nalice,1435651260,-0,1e-7\n"))
+	f.Add([]byte("\" a\",2015-06-30T10:00:00.5+02:00,1,2\r\n"))
+	f.Add([]byte("u,notatime,1,2\n"))
+	f.Add([]byte("u,1,NaN,2\n"))
+	// Instants whose UTC year has no four-digit RFC 3339 spelling.
+	f.Add([]byte("u,0000-01-01T00:00:00+01:00,1,2\n"))
+	f.Add([]byte("u,9999-12-31T23:00:00-02:00,1,2\n"))
+	f.Add([]byte("u,999999999999,1,2\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		_ = DecodeCSV(bytes.NewReader(in), func(string, trace.Point) error { return nil })
+		d, err := ReadCSV(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteCSV(&out, d); err != nil {
+			t.Fatalf("WriteCSV: %v", err)
+		}
+		back, err := ReadCSV(&out)
+		if err != nil {
+			t.Fatalf("accepted input does not round-trip: %v\n%s", err, out.Bytes())
+		}
+		if !slices.Equal(back.Users(), d.Users()) {
+			t.Fatalf("users %q, want %q", back.Users(), d.Users())
+		}
+		for _, tr := range d.Traces() {
+			got := back.ByUser(tr.User)
+			if got.Len() != tr.Len() {
+				t.Fatalf("user %q: %d points, want %d", tr.User, got.Len(), tr.Len())
+			}
+			for i, p := range tr.Points {
+				if !got.Points[i].Time.Equal(p.Time) {
+					t.Fatalf("user %q point %d: time %v, want %v", tr.User, i, got.Points[i].Time, p.Time)
+				}
+			}
+		}
+	})
 }

@@ -12,7 +12,7 @@ import (
 	"mobipriv/internal/trace"
 )
 
-func gzipped(t *testing.T, data []byte) []byte {
+func gzipped(t testing.TB, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)

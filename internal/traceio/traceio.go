@@ -19,10 +19,17 @@
 // observation instead of materializing the dataset, so serving systems
 // (cmd/mobiserve) and replay tools can process inputs larger than
 // memory; the batch readers are thin accumulators over them.
+//
+// DecodeJSONL, the live ingest decoder, parses the canonical record line
+// the writers emit by hand, without reflection, and hands the input from
+// the first line of any other shape on to encoding/json. Either way it
+// returns exactly the records and errors of a plain encoding/json decode
+// loop; the shape of the input only decides the speed.
 package traceio
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/csv"
 	"encoding/json"
@@ -170,15 +177,29 @@ func isHeader(rec []string) bool {
 	return true
 }
 
+// parseTime accepts RFC 3339 or Unix seconds, limited to instants whose
+// UTC year is 0000..9999: the writers emit UTC RFC 3339, which cannot
+// spell any other year, so anything else would not read back.
 func parseTime(s string) (time.Time, error) {
-	if ts, err := time.Parse(time.RFC3339Nano, s); err == nil {
-		return ts, nil
+	ts, err := time.Parse(time.RFC3339Nano, s)
+	if err != nil {
+		secs, serr := strconv.ParseInt(s, 10, 64)
+		if serr != nil {
+			return time.Time{}, fmt.Errorf("unparseable time %q", s)
+		}
+		ts = time.Unix(secs, 0).UTC()
 	}
-	if secs, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return time.Unix(secs, 0).UTC(), nil
+	if ts.Before(minRFC3339) || ts.After(maxRFC3339) {
+		return time.Time{}, fmt.Errorf("time %q outside years 0000-9999 UTC", s)
 	}
-	return time.Time{}, fmt.Errorf("unparseable time %q", s)
+	return ts, nil
 }
+
+// minRFC3339 and maxRFC3339 bound the instants UTC RFC 3339 can spell.
+var (
+	minRFC3339 = time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC)
+	maxRFC3339 = time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC)
+)
 
 func buildDataset(byUser map[string][]trace.Point) (*trace.Dataset, error) {
 	users := make([]string, 0, len(byUser))
@@ -222,22 +243,76 @@ func WriteJSONL(w io.Writer, d *trace.Dataset) error {
 
 // DecodeJSONL reads JSONL record-at-a-time, invoking fn for every
 // observation in file order without materializing the dataset.
+//
+// Input is read line by line. A line in the canonical shape that
+// WriteJSONLRecord emits,
+//
+//	{"user":"…","t":"YYYY-MM-DDTHH:MM:SS[.fffffffff]Z","lat":<num>,"lng":<num>}
+//
+// with the keys in that order, a printable-ASCII user without escapes
+// and JSON-grammar numbers, is parsed by hand. The first line outside
+// that shape (including one longer than the read buffer) and all input
+// after it go to an encoding/json decoder, with the record count carried
+// over. Every input therefore yields exactly what a plain json.Decoder
+// loop yields: the same records, float bits and time.Time values, the
+// same records delivered before an error, and the same error text. The
+// hand parser only changes the speed. (After a read error this assumes
+// the reader keeps returning the error, as gzip, file and HTTP body
+// readers do.)
 func DecodeJSONL(r io.Reader, fn RecordFunc) error {
 	r, err := maybeGunzip(r)
 	if err != nil {
 		return err
 	}
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	n := 0
+	for {
+		line, rerr := br.ReadSlice('\n')
+		if rerr != nil && rerr != io.EOF {
+			// A line longer than the buffer, or a read error, which the
+			// reader reports again when the fallback reads on. line
+			// aliases br's buffer; MultiReader drains it before it
+			// reads br again.
+			return decodeJSONLStd(io.MultiReader(bytes.NewReader(line), br), n, fn)
+		}
+		body := bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
+		if len(body) > 0 {
+			user, p, ok := parseJSONLRecord(body)
+			if !ok {
+				return decodeJSONLStd(io.MultiReader(bytes.NewReader(line), br), n, fn)
+			}
+			n++
+			if err := fn(user, p); err != nil {
+				if errors.Is(err, ErrStop) {
+					return nil
+				}
+				return err
+			}
+		}
+		if rerr == io.EOF {
+			return nil
+		}
+	}
+}
+
+// decodeJSONLStd is the encoding/json decode loop: DecodeJSONL's
+// fallback from the first non-canonical line on, and the reference its
+// hand parser is tested against. n is the number of records already
+// delivered, so error text counts records across both paths.
+func decodeJSONLStd(r io.Reader, n int, fn RecordFunc) error {
 	dec := json.NewDecoder(r)
-	line := 0
 	for {
 		var rec jsonlRecord
 		if err := dec.Decode(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
-			return fmt.Errorf("%w: line %d: %v", ErrBadRecord, line+1, err)
+			return fmt.Errorf("%w: line %d: %v", ErrBadRecord, n+1, err)
 		}
-		line++
+		n++
 		if err := fn(rec.User, trace.P(rec.Lat, rec.Lng, rec.Time)); err != nil {
 			if errors.Is(err, ErrStop) {
 				return nil
@@ -245,6 +320,168 @@ func DecodeJSONL(r io.Reader, fn RecordFunc) error {
 			return err
 		}
 	}
+}
+
+// parseJSONLRecord parses one canonical JSONL line (without its line
+// ending). ok is false for anything else, valid JSON or not. Each step
+// fails safely on input an earlier step already rejected.
+func parseJSONLRecord(b []byte) (user string, p trace.Point, ok bool) {
+	u, b, ok1 := cutQuoted(b, `{"user":"`)
+	t, b, ok2 := cutQuoted(b, `,"t":"`)
+	ts, ok3 := parseJSONLTime(t)
+	lat, b, ok4 := cutNumber(b, `,"lat":`)
+	lng, b, ok5 := cutNumber(b, `,"lng":`)
+	if !(ok1 && ok2 && ok3 && ok4 && ok5) || string(b) != "}" || !plainASCII(u) {
+		return "", p, false
+	}
+	return string(u), trace.P(lat, lng, ts), true
+}
+
+// cutQuoted cuts prefix, which ends in an opening quote, and the string
+// up to the next quote from b, returning that string and the bytes after
+// its closing quote.
+func cutQuoted(b []byte, prefix string) (s, rest []byte, ok bool) {
+	if len(b) < len(prefix) || string(b[:len(prefix)]) != prefix {
+		return nil, nil, false
+	}
+	b = b[len(prefix):]
+	i := bytes.IndexByte(b, '"')
+	if i < 0 {
+		return nil, nil, false
+	}
+	return b[:i], b[i+1:], true
+}
+
+// cutNumber cuts prefix and the JSON number after it from b.
+func cutNumber(b []byte, prefix string) (float64, []byte, bool) {
+	if len(b) < len(prefix) || string(b[:len(prefix)]) != prefix {
+		return 0, nil, false
+	}
+	return parseJSONNumber(b[len(prefix):])
+}
+
+// plainASCII reports whether b is printable ASCII without a backslash,
+// a JSON string body that decodes to itself.
+func plainASCII(b []byte) bool {
+	for _, c := range b {
+		if c < 0x20 || c > 0x7e || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// parseJSONNumber parses the JSON number at the start of b and returns
+// the bytes after it. It accepts only the JSON number grammar and only
+// values strconv.ParseFloat parses without error, the two conditions
+// under which encoding/json decodes a float64 from it.
+func parseJSONNumber(b []byte) (float64, []byte, bool) {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return 0, b, false
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return 0, b, false
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return 0, b, false
+		}
+		i = j
+	}
+	v, err := strconv.ParseFloat(string(b[:i]), 64)
+	if err != nil {
+		return 0, b, false
+	}
+	return v, b[i:], true
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// parseJSONLTime parses YYYY-MM-DDTHH:MM:SS[.f{1,9}]Z with the range
+// checks time.Time.UnmarshalJSON applies, building the same UTC value.
+// ok is false for any other form; the reference decoder then decides.
+func parseJSONLTime(s []byte) (time.Time, bool) {
+	const fixed = len("2006-01-02T15:04:05")
+	if len(s) < fixed+1 || s[len(s)-1] != 'Z' ||
+		s[4] != '-' || s[7] != '-' || s[10] != 'T' || s[13] != ':' || s[16] != ':' {
+		return time.Time{}, false
+	}
+	year, ok1 := atoiFixed(s[0:4])
+	month, ok2 := atoiFixed(s[5:7])
+	day, ok3 := atoiFixed(s[8:10])
+	hour, ok4 := atoiFixed(s[11:13])
+	minute, ok5 := atoiFixed(s[14:16])
+	sec, ok6 := atoiFixed(s[17:19])
+	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) ||
+		month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		hour > 23 || minute > 59 || sec > 59 {
+		return time.Time{}, false
+	}
+	nsec := 0
+	if frac := s[fixed : len(s)-1]; len(frac) > 0 {
+		digits := len(frac) - 1
+		if frac[0] != '.' || digits < 1 || digits > 9 {
+			return time.Time{}, false
+		}
+		v, ok := atoiFixed(frac[1:])
+		if !ok {
+			return time.Time{}, false
+		}
+		for ; digits < 9; digits++ {
+			v *= 10
+		}
+		nsec = v
+	}
+	return time.Date(year, time.Month(month), day, hour, minute, sec, nsec, time.UTC), true
+}
+
+// atoiFixed parses an all-digit field.
+func atoiFixed(b []byte) (int, bool) {
+	v := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, true
+}
+
+// daysIn is the length of month in year (proleptic Gregorian).
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
 }
 
 // ReadJSONL parses a dataset from JSONL input, batching the streaming
