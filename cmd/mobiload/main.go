@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +29,6 @@ import (
 
 	"mobipriv/internal/cliutil"
 	"mobipriv/internal/load"
-	"mobipriv/internal/obs"
 )
 
 func main() {
@@ -116,26 +114,8 @@ func run(args []string, stdout io.Writer) error {
 // from /stats — every latency series (HTTP routes, engine queue-wait /
 // process / sink) as one line of p50/p95/p99.
 func dumpLatency(ctx context.Context, cfg load.Config, w io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.Target+"/stats", nil)
+	st, err := load.FetchServerStats(ctx, cfg)
 	if err != nil {
-		return err
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	var st struct {
-		Latency []obs.HistogramSnapshot `json:"latency"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
 	for _, h := range st.Latency {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,8 +10,10 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"mobipriv/internal/load"
+	"mobipriv/internal/obs"
 	"mobipriv/internal/trace"
 	"mobipriv/internal/traceio"
 )
@@ -104,5 +107,32 @@ func TestRunBadTarget(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "errors") {
 		t.Fatalf("output missing error count: %q", sb.String())
+	}
+}
+
+// TestDumpLatency pins the -verbose latency dump: it reads /stats
+// through the shared fetcher with no client configured and prints one
+// line per series.
+func TestDumpLatency(t *testing.T) {
+	h := obs.NewHistogram()
+	h.ObserveDuration(2 * time.Millisecond)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(load.ServerStats{Latency: []obs.HistogramSnapshot{
+			h.Snapshot("stream_process_seconds", `shard="0"`),
+		}})
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	var sb strings.Builder
+	if err := dumpLatency(context.Background(), load.Config{Target: srv.URL}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `stream_process_seconds{shard="0"}: n=1 p50 1.97ms`; !strings.HasPrefix(sb.String(), want) {
+		t.Fatalf("dump = %q, want prefix %q", sb.String(), want)
+	}
+	if err := dumpLatency(context.Background(), load.Config{Target: srv.URL + "/missing"}, &sb); err == nil {
+		t.Fatal("dump of a missing /stats succeeded")
 	}
 }

@@ -90,6 +90,56 @@ var claims = map[string]func(t *testing.T, table *Table){
 			}
 		}
 	},
+	// Promesse's corner cutting grows with epsilon: the distance from
+	// the original points to the published path rises while fewer
+	// points are published.
+	"E6": func(t *testing.T, table *Table) {
+		eps := column(t, table, "epsilon (m)")
+		rising := []int{column(t, table, "orig->pub med (m)"), column(t, table, "orig->pub p95 (m)")}
+		kept := column(t, table, "points kept")
+		for i := 1; i < len(table.Rows); i++ {
+			prev, cur := table.Rows[i-1], table.Rows[i]
+			if parse(t, cur[eps]) <= parse(t, prev[eps]) {
+				t.Fatalf("E6 rows not in increasing epsilon: %s then %s", prev[eps], cur[eps])
+			}
+			for _, c := range rising {
+				if parse(t, cur[c]) <= parse(t, prev[c]) {
+					t.Errorf("E6 %s does not rise from %s to %s as epsilon rises to %s",
+						table.Columns[c], prev[c], cur[c], cur[eps])
+				}
+			}
+			if parse(t, cur[kept]) >= parse(t, prev[kept]) {
+				t.Errorf("E6 points kept does not fall from %s to %s as epsilon rises to %s", prev[kept], cur[kept], cur[eps])
+			}
+		}
+	},
+	// Wait4Me's distortion grows with k at every delta (over the rows
+	// where some user is still published).
+	"E8": func(t *testing.T, table *Table) {
+		k, delta := column(t, table, "k"), column(t, table, "delta (m)")
+		dists := []int{column(t, table, "median dist (m)"), column(t, table, "p95 dist (m)")}
+		last := map[string][]string{} // delta -> previous published row
+		for _, row := range table.Rows {
+			if row[dists[0]] == "-" {
+				continue
+			}
+			if prev, ok := last[row[delta]]; ok {
+				if parse(t, row[k]) <= parse(t, prev[k]) {
+					t.Fatalf("E8 delta %s: rows not in increasing k: %s then %s", row[delta], prev[k], row[k])
+				}
+				for _, c := range dists {
+					if parse(t, row[c]) <= parse(t, prev[c]) {
+						t.Errorf("E8 delta %s: %s does not rise from %s to %s as k rises to %s",
+							row[delta], table.Columns[c], prev[c], row[c], row[k])
+					}
+				}
+			}
+			last[row[delta]] = row
+		}
+		if len(last) == 0 {
+			t.Fatal("E8: every row is suppressed")
+		}
+	},
 	// Swapping is what breaks label tracking, and smoothing is what
 	// hides POIs.
 	"E12": func(t *testing.T, table *Table) {

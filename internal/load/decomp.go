@@ -23,12 +23,14 @@ type StageLatency struct {
 }
 
 // ServerDecomp is the server-side view of the load just applied,
-// snapshotted from GET /stats around the run: how many points the
-// engine ingested during the run, how often pushes stalled on
-// backpressure, and where per-shard-batch latency went — queue wait
+// from GET /stats snapshots taken before and after the run: how many
+// points the engine ingested during the run, how often pushes stalled
+// on backpressure, and where per-shard-batch latency went — queue wait
 // (batch sat in a shard queue), process (mechanism work) and sink
-// (handing output to the sink callback). Joined with the client-side
-// ingest quantiles this decomposes the observed p99 end to end.
+// (handing output to the sink callback). Every field is a before/after
+// delta, so earlier traffic on a warm server does not mix in. Joined
+// with the client-side ingest quantiles this decomposes the observed
+// p99 end to end.
 type ServerDecomp struct {
 	PointsIn   int64        `json:"points_in"`
 	PushStalls int64        `json:"push_stalls"`
@@ -37,23 +39,23 @@ type ServerDecomp struct {
 	Sink       StageLatency `json:"sink"`
 }
 
-// serverStats is the slice of mobiserve's /stats response the driver
-// reads back.
-type serverStats struct {
+// ServerStats is the slice of mobiserve's /stats response the load
+// driver reads back.
+type ServerStats struct {
 	In      int64                   `json:"points_in"`
 	Stalls  int64                   `json:"push_stalls"`
 	Latency []obs.HistogramSnapshot `json:"latency"`
 }
 
-// fetchServerStats reads the target's /stats. Callers treat failure as
-// "no server-side view" (a stub target or an older server), not a run
-// failure.
-func fetchServerStats(ctx context.Context, cfg Config) (*serverStats, error) {
+// FetchServerStats reads the target's /stats. A nil cfg.Client means
+// the default client. Run treats failure as "no server-side view" (a
+// stub target or an older server), not a run failure.
+func FetchServerStats(ctx context.Context, cfg Config) (*ServerStats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.Target+"/stats", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cfg.Client.Do(req)
+	resp, err := cfg.withDefaults().Client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +66,7 @@ func fetchServerStats(ctx context.Context, cfg Config) (*serverStats, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("load: stats: HTTP %d", resp.StatusCode)
 	}
-	var st serverStats
+	var st ServerStats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return nil, fmt.Errorf("load: stats response: %w", err)
 	}
@@ -72,26 +74,25 @@ func fetchServerStats(ctx context.Context, cfg Config) (*serverStats, error) {
 }
 
 // decompose builds the ServerDecomp from before/after stats snapshots.
-// Counters are deltas over the run; the quantiles are the after-run
-// histograms (cumulative — against a fresh server they describe
-// exactly this run's traffic). Returns nil when the server does not
-// publish the decomposition histograms.
-func decompose(before, after *serverStats) *ServerDecomp {
+// Counters are deltas over the run, and each stage's quantiles come
+// from its histogram diffed bin by bin (exact: the bins are integer
+// counts), so they describe only the run's traffic. Returns nil when
+// the server does not publish the decomposition histograms.
+func decompose(before, after *ServerStats) *ServerDecomp {
 	if before == nil || after == nil {
 		return nil
 	}
 	stage := func(name string) (StageLatency, bool) {
-		for _, h := range after.Latency {
-			if h.Name == name && h.Labels == "" {
-				return StageLatency{
-					Count: h.Count,
-					P50ms: h.P50 * 1e3,
-					P95ms: h.P95 * 1e3,
-					P99ms: h.P99 * 1e3,
-				}, true
-			}
+		h, ok := stageDelta(before, after, name)
+		if !ok {
+			return StageLatency{}, false
 		}
-		return StageLatency{}, false
+		return StageLatency{
+			Count: h.Count(),
+			P50ms: h.Quantile(0.50) * 1e3,
+			P95ms: h.Quantile(0.95) * 1e3,
+			P99ms: h.Quantile(0.99) * 1e3,
+		}, true
 	}
 	qw, ok1 := stage("stream_queue_wait_seconds")
 	pr, ok2 := stage("stream_process_seconds")
@@ -111,4 +112,39 @@ func decompose(before, after *serverStats) *ServerDecomp {
 		Process:    pr,
 		Sink:       sk,
 	}
+}
+
+// stageDelta returns the observations the unlabeled series name gained
+// between two snapshots, as a histogram; false when after lacks it.
+// Only the bins are diffed (the nanosecond sum is not reported), and a
+// bin that shrank — a restarted server — counts as empty.
+func stageDelta(before, after *ServerStats, name string) (*obs.Histogram, bool) {
+	find := func(st *ServerStats) (obs.HistogramSnapshot, bool) {
+		for _, h := range st.Latency {
+			if h.Name == name && h.Labels == "" {
+				return h, true
+			}
+		}
+		return obs.HistogramSnapshot{}, false
+	}
+	z, ok := find(after)
+	if !ok {
+		return nil, false
+	}
+	a, _ := find(before)
+	prev := make(map[int]uint64, len(a.Bins))
+	for _, b := range a.Bins {
+		prev[b.Bin] = b.Count
+	}
+	var d obs.HistogramSnapshot
+	for _, b := range z.Bins {
+		if b.Count > prev[b.Bin] {
+			n := b.Count - prev[b.Bin]
+			d.Bins = append(d.Bins, obs.HistogramBin{Bin: b.Bin, Count: n})
+			d.Count += n
+		}
+	}
+	h := obs.NewHistogram()
+	h.MergeSnapshot(d)
+	return h, true
 }

@@ -173,7 +173,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// a real mobiserve the before/after delta attributes the run's p99
 	// to queue-wait vs process vs sink; a stub without /stats simply
 	// yields no Server block.
-	statsBefore, statsErr := fetchServerStats(ctx, cfg)
+	statsBefore, statsErr := FetchServerStats(ctx, cfg)
 
 	var (
 		mu       sync.Mutex
@@ -214,7 +214,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Seconds = time.Since(start).Seconds()
 	if statsErr == nil {
-		if statsAfter, err := fetchServerStats(ctx, cfg); err == nil {
+		if statsAfter, err := FetchServerStats(ctx, cfg); err == nil {
 			res.Server = decompose(statsBefore, statsAfter)
 		}
 	}

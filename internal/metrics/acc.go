@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"mobipriv/internal/geo"
@@ -52,50 +51,18 @@ func (a u128) toFloat() float64 {
 	return float64(a.hi)*0x1p64 + float64(a.lo)
 }
 
-// Distortion histogram geometry: distances are quantized to micrometers
-// and binned logarithmically, 16 sub-bins per power of two (~4.5%
-// relative resolution). Quantiles read from the histogram are therefore
-// approximate to that resolution, while counts, the mean (exact integer
-// sum) and min/max are exact.
-const (
-	distSubBits = 4
-	distSubBins = 1 << distSubBits
-	distBins    = 1 + 64*distSubBins
-)
-
-// distBin maps a micrometer distance to its histogram bin.
-func distBin(um uint64) int {
-	if um == 0 {
-		return 0
-	}
-	l := bits.Len64(um)
-	var sub uint64
-	if l > distSubBits+1 {
-		sub = (um >> uint(l-1-distSubBits)) & (distSubBins - 1)
-	} else {
-		sub = (um << uint(distSubBits+1-l)) & (distSubBins - 1)
-	}
-	return 1 + (l-1)*distSubBins + int(sub)
-}
-
-// distBinEdge returns the lower edge of a bin, in meters.
-func distBinEdge(bin int) float64 {
-	if bin == 0 {
-		return 0
-	}
-	l := (bin - 1) / distSubBins
-	sub := (bin - 1) % distSubBins
-	return math.Ldexp(1+float64(sub)/distSubBins, l) * 1e-6
-}
+// exactCap is the pool size up to which DistortionAcc keeps every
+// sample and answers quantiles as exact order statistics. Paper-scale
+// runs (tens to hundreds of pooled samples) stay within it.
+const exactCap = 256
 
 // DistSummary is the streaming summary of a pooled distance sample.
 type DistSummary struct {
 	N        int64
 	Mean     float64 // exact (integer-sum) mean
 	Min, Max float64 // exact
-	// P50 and P95 are exact order statistics while the pool fits the
-	// KLL sketch (n <= stats.DefaultKLLK), histogram quantiles (~4.5%
-	// relative resolution) beyond.
+	// P50 and P95 are exact order statistics while n <= 256, and
+	// log-histogram quantiles (~4.5% relative resolution) beyond.
 	P50, P95 float64
 }
 
@@ -104,14 +71,14 @@ type DistSummary struct {
 // CompletenessDistortion). Only users present on both sides contribute,
 // so one-sided AddPair calls are no-ops.
 //
-// Quantiles come from two complementary stores. A fixed-size KLL
-// sketch (stats.KLL) holds the raw samples verbatim while the pool is
-// small — the exact regime, where P50/P95 are exact order statistics —
-// and the log-binned histogram answers once the pool outgrows the
-// sketch, at its ~4.5% resolution. Both stores are merge-order
-// invariant in the regime they serve (a multiset below capacity,
-// integer bucket counts above), and the regime switch depends only on
-// the total count, so AddPair and Merge still commute bit-identically.
+// Quantiles come from two complementary stores. While the pool holds
+// at most exactCap samples they are kept verbatim (the exact regime,
+// where P50/P95 are exact order statistics); past the cap the samples
+// are dropped and the log-binned histogram (stats.LogBin over
+// micrometers, ~4.5% resolution) answers. Both stores are merge-order
+// invariant in the regime they serve (a multiset below the cap,
+// integer bin counts above), and the regime depends only on the total
+// count, so AddPair and Merge still commute bit-identically.
 type DistortionAcc struct {
 	reverse bool // completeness: original points vs published path
 	n       int64
@@ -119,19 +86,19 @@ type DistortionAcc struct {
 	min     float64
 	max     float64
 	hist    []int64
-	sketch  *stats.KLL
+	samples []float64 // every sample while n <= exactCap, nil beyond
 }
 
 // NewDistortionAcc returns an accumulator for the published-vs-original
 // distortion direction.
 func NewDistortionAcc() *DistortionAcc {
-	return &DistortionAcc{hist: make([]int64, distBins), sketch: stats.NewKLL(stats.DefaultKLLK)}
+	return &DistortionAcc{hist: make([]int64, stats.LogBins)}
 }
 
 // NewCompletenessAcc returns an accumulator for the opposite direction:
 // every original point's distance to the published path.
 func NewCompletenessAcc() *DistortionAcc {
-	return &DistortionAcc{reverse: true, hist: make([]int64, distBins), sketch: stats.NewKLL(stats.DefaultKLLK)}
+	return &DistortionAcc{reverse: true, hist: make([]int64, stats.LogBins)}
 }
 
 // AddPair folds one user's distortion samples into the accumulator.
@@ -169,8 +136,12 @@ func (a *DistortionAcc) add(d float64) {
 	a.n++
 	um := uint64(math.Round(d * 1e6))
 	a.sum.add(um)
-	a.hist[distBin(um)]++
-	a.sketch.Add(d)
+	a.hist[stats.LogBin(um)]++
+	if a.n <= exactCap {
+		a.samples = append(a.samples, d)
+	} else {
+		a.samples = nil
+	}
 }
 
 // Merge folds another accumulator of the same direction into a.
@@ -189,27 +160,33 @@ func (a *DistortionAcc) Merge(b *DistortionAcc) {
 	for i, c := range b.hist {
 		a.hist[i] += c
 	}
-	a.sketch.Merge(b.sketch)
+	if a.n <= exactCap {
+		a.samples = append(a.samples, b.samples...)
+	} else {
+		a.samples = nil
+	}
 }
 
-// quantile returns the sample quantile: exact (from the KLL sketch's
-// verbatim samples) while the pool is within the sketch's capacity,
-// the log-histogram's lower bin edge clamped to the exact [min, max]
-// envelope beyond. The regime depends only on the total count, so
-// partitioned-and-merged accumulators agree with serial ones exactly.
+// quantile returns the sample quantile at rank floor(q*(n-1)): the
+// exact order statistic while n <= exactCap, the log-histogram's lower
+// bin edge clamped to the exact [min, max] envelope beyond. The regime
+// depends only on the total count, so partitioned-and-merged
+// accumulators agree with serial ones exactly.
 func (a *DistortionAcc) quantile(q float64) float64 {
 	if a.n == 0 {
 		return 0
 	}
-	if a.sketch.Exact() {
-		return a.sketch.Quantile(q)
+	if a.n <= exactCap {
+		sorted := append([]float64(nil), a.samples...)
+		sort.Float64s(sorted)
+		return sorted[int(q*float64(a.n-1))]
 	}
 	rank := int64(q * float64(a.n-1))
 	var cum int64
 	for b, c := range a.hist {
 		cum += c
 		if cum > rank {
-			v := distBinEdge(b)
+			v := stats.LogBinEdge(b) * 1e-6
 			if v < a.min {
 				v = a.min
 			}

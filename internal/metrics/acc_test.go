@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mobipriv/internal/geo"
+	"mobipriv/internal/stats"
 	"mobipriv/internal/trace"
 )
 
@@ -161,8 +162,9 @@ func quantileOf(xs []float64, q float64) float64 {
 }
 
 // TestDistortionAccSketchRegimes pins the two-regime quantile contract:
-// under the KLL capacity the quantiles are exact order statistics, and
-// in BOTH regimes any partition of the samples merged in any order
+// up to exactCap samples the quantiles are exact order statistics, past
+// it the sample buffer is dropped and the histogram answers, and in
+// BOTH regimes any partition of the samples merged in any order
 // reproduces the serial summary bit-for-bit.
 func TestDistortionAccSketchRegimes(t *testing.T) {
 	rnd := rand.New(rand.NewSource(17))
@@ -171,8 +173,10 @@ func TestDistortionAccSketchRegimes(t *testing.T) {
 		n     int
 		exact bool
 	}{
-		{"exact", 100, true},       // within stats.DefaultKLLK
-		{"histogram", 5000, false}, // beyond capacity
+		{"exact", 100, true},
+		{"cap", exactCap, true},
+		{"cap+1", exactCap + 1, false},
+		{"histogram", 5000, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			vals := make([]float64, tc.n)
@@ -184,16 +188,23 @@ func TestDistortionAccSketchRegimes(t *testing.T) {
 				serial.add(v)
 			}
 			want := serial.Summary()
+			if !tc.exact && serial.samples != nil {
+				t.Fatalf("n=%d keeps %d samples past the cap", tc.n, len(serial.samples))
+			}
 
-			if tc.exact {
-				sorted := append([]float64(nil), vals...)
-				sort.Float64s(sorted)
-				p50 := sorted[int(0.5*float64(len(sorted)-1))]
-				p95 := sorted[int(0.95*float64(len(sorted)-1))]
-				if want.P50 != p50 || want.P95 != p95 {
-					t.Fatalf("exact-regime quantiles %v/%v, want order statistics %v/%v",
-						want.P50, want.P95, p50, p95)
+			sorted := append([]float64(nil), vals...)
+			sort.Float64s(sorted)
+			p50 := sorted[int(0.5*float64(len(sorted)-1))]
+			p95 := sorted[int(0.95*float64(len(sorted)-1))]
+			if !tc.exact {
+				// The lower edge of the bin holding the order statistic.
+				edge := func(v float64) float64 {
+					return math.Max(sorted[0], stats.LogBinEdge(stats.LogBin(uint64(math.Round(v*1e6))))*1e-6)
 				}
+				p50, p95 = edge(p50), edge(p95)
+			}
+			if want.P50 != p50 || want.P95 != p95 {
+				t.Fatalf("quantiles %v/%v, want %v/%v", want.P50, want.P95, p50, p95)
 			}
 
 			for _, parts := range []int{2, 5} {
@@ -212,6 +223,9 @@ func TestDistortionAccSketchRegimes(t *testing.T) {
 				}
 				if got := root.Summary(); !reflect.DeepEqual(want, got) {
 					t.Fatalf("parts=%d: merged summary %+v != serial %+v", parts, got, want)
+				}
+				if !tc.exact && root.samples != nil {
+					t.Fatalf("parts=%d: merged n=%d keeps %d samples past the cap", parts, tc.n, len(root.samples))
 				}
 			}
 		})
@@ -232,21 +246,22 @@ func TestDistortionAccIdentity(t *testing.T) {
 	}
 }
 
-// TestDistBinMonotonic pins the histogram bin geometry: binning is
-// monotone in the value and edges invert to the bin's own range.
+// TestDistBinMonotonic pins the histogram bin geometry over
+// micrometers: binning is monotone in the value and edges, scaled to
+// meters, invert to the bin's own range.
 func TestDistBinMonotonic(t *testing.T) {
 	prev := -1
 	for _, um := range []uint64{0, 1, 2, 3, 15, 16, 17, 100, 1000, 1e6, 5e6, 1e9, 1e12, math.MaxUint64} {
-		b := distBin(um)
+		b := stats.LogBin(um)
 		if b < prev {
-			t.Fatalf("distBin(%d) = %d < previous %d", um, b, prev)
+			t.Fatalf("LogBin(%d) = %d < previous %d", um, b, prev)
 		}
 		prev = b
-		if b >= distBins {
-			t.Fatalf("distBin(%d) = %d out of range", um, b)
+		if b >= stats.LogBins {
+			t.Fatalf("LogBin(%d) = %d out of range", um, b)
 		}
 		if um > 0 {
-			edge := distBinEdge(b)
+			edge := stats.LogBinEdge(b) * 1e-6
 			v := float64(um) * 1e-6
 			if edge > v*1.0001 {
 				t.Fatalf("edge(%d)=%v above value %v", b, edge, v)

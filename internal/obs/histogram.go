@@ -2,32 +2,25 @@ package obs
 
 import (
 	"math"
-	"math/bits"
 	"sync/atomic"
 	"time"
-)
 
-// Histogram bucketing reuses the DistortionAcc geometry from
-// internal/metrics: observations are quantized to integer nanoseconds
-// and binned logarithmically with histSubBins sub-bins per power of
-// two (~4.5% relative resolution) in a fixed 1025-slot array covering
-// the full uint64 range. All state is atomic integers, so Observe and
-// Merge commute exactly.
-const (
-	histSubBits = 4
-	histSubBins = 1 << histSubBits   // 16 sub-bins per power of two
-	histBins    = 1 + 64*histSubBins // bin 0 reserved for zero
+	"mobipriv/internal/stats"
 )
 
 // Histogram is a mergeable, race-safe latency histogram over
 // log-spaced nanosecond buckets. Observations are float64 seconds
 // (the Prometheus convention); they are quantized to nanoseconds
 // internally so the state stays integral and merge-order-invariant.
-// Obtain instances from NewHistogram or Registry.Histogram.
+// The buckets are the stats.LogBin geometry the metrics distortion
+// accumulators also use: 16 sub-bins per power of two (~4.5% relative
+// resolution) in a fixed 1025-slot array covering the full uint64
+// range. All state is atomic integers, so Observe and Merge commute
+// exactly. Obtain instances from NewHistogram or Registry.Histogram.
 type Histogram struct {
 	count atomic.Uint64
 	sumNs atomic.Uint64
-	bins  [histBins]atomic.Uint64
+	bins  [stats.LogBins]atomic.Uint64
 }
 
 // NewHistogram returns an empty histogram.
@@ -61,7 +54,7 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 func (h *Histogram) observeNs(ns uint64) {
 	h.count.Add(1)
 	h.sumNs.Add(ns)
-	h.bins[histBin(ns)].Add(1)
+	h.bins[stats.LogBin(ns)].Add(1)
 }
 
 // Merge folds o into h. Observe and Merge commute: any partition of
@@ -116,7 +109,7 @@ func (h *Histogram) MergeSnapshot(s HistogramSnapshot) {
 	h.count.Add(s.Count)
 	h.sumNs.Add(s.SumNs)
 	for _, b := range s.Bins {
-		if b.Bin >= 0 && b.Bin < histBins && b.Count != 0 {
+		if b.Bin >= 0 && b.Bin < stats.LogBins && b.Count != 0 {
 			h.bins[b.Bin].Add(b.Count)
 		}
 	}
@@ -144,38 +137,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	rank := uint64(q * float64(n-1))
 	var cum uint64
-	for i := 0; i < histBins; i++ {
+	for i := 0; i < stats.LogBins; i++ {
 		cum += h.bins[i].Load()
 		if cum > rank {
-			return histBinEdge(i)
+			return stats.LogBinEdge(i) * 1e-9
 		}
 	}
-	return histBinEdge(histBins - 1)
-}
-
-// histBin maps a nanosecond value to its histogram bin; mirrors
-// distBin in internal/metrics.
-func histBin(ns uint64) int {
-	if ns == 0 {
-		return 0
-	}
-	l := bits.Len64(ns)
-	var sub uint64
-	if l > histSubBits+1 {
-		sub = (ns >> uint(l-1-histSubBits)) & (histSubBins - 1)
-	} else {
-		sub = (ns << uint(histSubBits+1-l)) & (histSubBins - 1)
-	}
-	return 1 + (l-1)*histSubBins + int(sub)
-}
-
-// histBinEdge returns the lower edge of a bin, in seconds; mirrors
-// distBinEdge in internal/metrics.
-func histBinEdge(bin int) float64 {
-	if bin == 0 {
-		return 0
-	}
-	l := (bin - 1) / histSubBins
-	sub := (bin - 1) % histSubBins
-	return math.Ldexp(1+float64(sub)/histSubBins, l) * 1e-9
+	return stats.LogBinEdge(stats.LogBins-1) * 1e-9
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"mobipriv/internal/stats"
 )
 
 // Coarse exposition buckets: the 1025 fine bins would bloat every
@@ -86,7 +88,7 @@ func writeHistogram(bw *bufio.Writer, name string, s *series) {
 	h := s.hist
 	// Snapshot bins once so the emitted cumulative counts are
 	// consistent even while observations continue concurrently.
-	var bins [histBins]uint64
+	var bins [stats.LogBins]uint64
 	for i := range h.bins {
 		bins[i] = h.bins[i].Load()
 	}
@@ -97,8 +99,8 @@ func writeHistogram(bw *bufio.Writer, name string, s *series) {
 	next := 0
 	for _, k := range histExpoBuckets {
 		// Values with bit length ≤ k occupy bins [1, 16k]; bin 0 is zero.
-		hi := k*histSubBins + 1 // exclusive upper bin index
-		for ; next < hi && next < histBins; next++ {
+		hi := k*stats.LogSubBins + 1 // exclusive upper bin index
+		for ; next < hi && next < stats.LogBins; next++ {
 			cum += bins[next]
 		}
 		le := formatFloat(ldexpSeconds(k))

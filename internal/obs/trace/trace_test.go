@@ -234,9 +234,23 @@ func TestExemplars(t *testing.T) {
 	}
 }
 
+// malformedTraceparents are headers ParseTraceparent must reject.
+var malformedTraceparents = []string{
+	"",
+	"00",
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span id
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // version ff
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase hex
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0g",  // bad flags
+	"0x-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad version
+	"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad separator
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // ver 00 trailing junk
+}
+
 // TestTraceparentRoundTrip is the property test: format ∘ parse is the
 // identity over random valid (id, span, flags) triples, and parse
-// rejects a catalogue of malformed headers.
+// rejects malformedTraceparents.
 func TestTraceparentRoundTrip(t *testing.T) {
 	rnd := rand.New(rand.NewSource(77))
 	for i := 0; i < 2000; i++ {
@@ -258,19 +272,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 			t.Fatalf("round trip failed for %q: got %v %v %v ok=%v", s, gid, gspan, gsampled, ok)
 		}
 	}
-	bad := []string{
-		"",
-		"00",
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span id
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // version ff
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase hex
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0g",  // bad flags
-		"0x-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad version
-		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad separator
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // ver 00 trailing junk
-	}
-	for _, s := range bad {
+	for _, s := range malformedTraceparents {
 		if _, _, _, ok := ParseTraceparent(s); ok {
 			t.Fatalf("accepted malformed traceparent %q", s)
 		}
@@ -522,4 +524,30 @@ func ExampleFormatTraceparent() {
 	id := DeriveID(1, 2)
 	fmt.Println(FormatTraceparent(id, DeriveSpanID(id, 0, "client", 0), true))
 	// Output: 00-844af5e71708cc94db19b71a8dd87115-deb3542ac257950c-01
+}
+
+// FuzzParseTraceparent: parsing never panics, an accepted header never
+// carries a zero trace or span ID, and an accepted version-00 header
+// with flags 00 or 01 is exactly what FormatTraceparent renders for
+// the parsed triple.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, s := range malformedTraceparents {
+		f.Add(s)
+	}
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extrastate")
+	f.Fuzz(func(t *testing.T, s string) {
+		id, span, sampled, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if id.IsZero() || span == 0 {
+			t.Fatalf("accepted %q with zero id %v or span %v", s, id, span)
+		}
+		if strings.HasPrefix(s, "00-") && (strings.HasSuffix(s, "-00") || strings.HasSuffix(s, "-01")) {
+			if got := FormatTraceparent(id, span, sampled); got != s {
+				t.Fatalf("format(parse(%q)) = %q", s, got)
+			}
+		}
+	})
 }
